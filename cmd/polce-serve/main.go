@@ -77,7 +77,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "variable-order seed")
 		lsWorkers = flag.Int("ls-workers", 0, "least-solution pass worker count (0 = GOMAXPROCS)")
 		reprFlag  = flag.String("repr", "hybrid", "adjacency storage representation: hybrid or csr")
-		retract   = flag.Bool("retractable", true, "track batch reasons so DELETE /v1/constraints/{session}/{batch} can retract them (off: DELETE answers 501)")
+		retract   = flag.Bool("retractable", true, "track batch footprints so DELETE /v1/constraints/{session}/{batch} can retract them (off: DELETE answers 501)")
 
 		queueDepth   = flag.Int("queue", 64, "ingestion queue depth (batches)")
 		reqTimeout   = flag.Duration("request-timeout", 10*time.Second, "per-request deadline")

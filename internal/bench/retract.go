@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"polce"
@@ -114,6 +115,7 @@ func RunRetract(w io.Writer, o RetractOptions) error {
 
 	var (
 		retractTime time.Duration
+		perRetract  []time.Duration
 		dirtySum    int64
 		replayedCs  int64
 	)
@@ -123,6 +125,7 @@ func RunRetract(w io.Writer, o RetractOptions) error {
 			return fmt.Errorf("retract %d: %w", id, err)
 		}
 		retractTime += rep.Duration
+		perRetract = append(perRetract, rep.Duration)
 		dirtySum += int64(rep.DirtyVars)
 		replayedCs += int64(rep.ReplayedConstraints)
 	}
@@ -149,7 +152,14 @@ func RunRetract(w io.Writer, o RetractOptions) error {
 	refOpt := opt
 	refOpt.Retractable = false
 	ref := polce.New(refOpt)
+	rebuildStart := time.Now()
 	retractWorkload(ref, o, func(c int) bool { return !retracted[ids[c]] })
+	rebuildTime := time.Since(rebuildStart)
+	slices.Sort(perRetract) // nearest-rank quantiles: ⌈qn⌉-th smallest
+	p50, p99 := perRetract[(len(perRetract)-1)/2], perRetract[(99*len(perRetract)-1)/100]
+	fmt.Fprintf(w, "  latency:  per retraction p50 %s, p99 %s (n=%d); from-scratch rebuild of the %d survivors %s (%.0fx the p50)\n",
+		p50, p99, len(perRetract), o.Clusters-len(targets), rebuildTime.Round(time.Microsecond),
+		float64(rebuildTime)/float64(max(p50, 1)))
 	// Compare state, not history: the retract run's cumulative counters
 	// (version, work, cycle searches, retraction telemetry) record the
 	// retractions themselves and legitimately exceed the reference's.

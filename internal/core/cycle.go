@@ -213,6 +213,9 @@ func (s *System) collapse(nodes []*Var) {
 func (s *System) absorb(a, w *Var) {
 	s.store.Forward(a, w)
 	s.stats.VarsEliminated++
+	if s.lsConsumers != nil {
+		s.moveConsumers(a, w)
+	}
 	if s.delta {
 		s.pushSrcRange(a, w, a.PredS.Size())
 	} else {

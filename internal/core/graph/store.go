@@ -7,6 +7,8 @@
 // the public façade (internal/solver) built on top of it.
 package graph
 
+import "slices"
+
 // Store owns the variables of one constraint system: the live list walked
 // by whole-graph operations, the creation-index space shared with the
 // oracle, and the merge epoch that drives lazy adjacency canonicalisation
@@ -15,9 +17,11 @@ package graph
 // A Store is not safe for concurrent use; the solver façade serialises
 // access.
 type Store struct {
-	vars    []*Var // live variables in creation order, lazily compacted
-	dead    int    // eliminated variables still present in vars
-	created []*Var // creation-index → variable handed out (aliases included)
+	vars    []*Var   // live variables, lazily compacted; creation order unless relist
+	dead    int      // eliminated variables still present in vars
+	listed  []uint64 // bit per creation index: the variable is present in vars
+	relist  bool     // ResetVar appended variables out of creation order
+	created []*Var   // creation-index → variable handed out (aliases included)
 
 	mergeEpoch uint64 // bumped on every collapse; drives lazy compaction
 
@@ -36,6 +40,10 @@ func (st *Store) Fresh(name string, order uint64) *Var {
 	st.attachArenas(v)
 	st.created = append(st.created, v)
 	st.vars = append(st.vars, v)
+	for v.id/64 >= len(st.listed) {
+		st.listed = append(st.listed, 0)
+	}
+	st.listed[v.id/64] |= 1 << (v.id % 64)
 	return v
 }
 
@@ -71,9 +79,19 @@ func (st *Store) BumpMergeEpoch() { st.mergeEpoch++ }
 // capacity retired, arenas stay attached), forwarding pointer removed,
 // search mark and least-solution slot zeroed. The retraction engine calls
 // it for every variable in a dirty cone before replaying the surviving
-// constraints; callers must follow up with RebuildLive so the live list and
-// dead count reflect the un-forwarded variables.
+// constraints. An un-forwarded variable becomes live again: it leaves the
+// dead count, or, if compaction already dropped it, is re-listed (at the
+// tail; the next whole-graph walk restores creation order).
 func (st *Store) ResetVar(v *Var) {
+	if v.parent != nil {
+		if st.listed[v.id/64]&(1<<(v.id%64)) != 0 {
+			st.dead--
+		} else {
+			st.listed[v.id/64] |= 1 << (v.id % 64)
+			st.vars = append(st.vars, v)
+			st.relist = true
+		}
+	}
 	v.ReleaseStorage()
 	v.parent = nil
 	v.Mark = 0
@@ -81,25 +99,9 @@ func (st *Store) ResetVar(v *Var) {
 	v.Sol = SolSlot{}
 }
 
-// RebuildLive reconstructs the live list from the creation-index space:
-// every distinct created variable, in creation order, with the dead count
-// recomputed from the forwarding pointers. Oracle pre-merged aliases occupy
-// several creation indices with one variable; they are listed once.
-func (st *Store) RebuildLive() {
-	seen := make(map[*Var]struct{}, len(st.created))
-	st.vars = st.vars[:0]
-	st.dead = 0
-	for _, v := range st.created {
-		if _, ok := seen[v]; ok {
-			continue
-		}
-		seen[v] = struct{}{}
-		st.vars = append(st.vars, v)
-		if v.parent != nil {
-			st.dead++
-		}
-	}
-}
+// NumLive returns the number of canonical (non-eliminated) variables in
+// O(1): len(CanonicalVars()) without the walk.
+func (st *Store) NumLive() int { return len(st.vars) - st.dead }
 
 // Clean lazily canonicalises v's variable adjacency after collapses.
 func (st *Store) Clean(v *Var) {
@@ -111,11 +113,16 @@ func (st *Store) Clean(v *Var) {
 	v.SuccV.Compact(v)
 }
 
-// compactLive drops eliminated variables from st.vars once a quarter of
-// the list is dead, so whole-graph walks cost O(live), not O(ever
-// created). Compaction preserves creation order and is amortised O(1) per
-// elimination. Callers must not be mid-iteration over st.vars.
+// compactLive restores creation order to st.vars after ResetVar re-listed
+// variables, and drops eliminated variables once a quarter of the list is
+// dead, so whole-graph walks cost O(live), not O(ever created). Both are
+// amortised against the walk that calls it. Callers must not be
+// mid-iteration over st.vars.
 func (st *Store) compactLive() {
+	if st.relist {
+		slices.SortFunc(st.vars, func(a, b *Var) int { return a.id - b.id })
+		st.relist = false
+	}
 	if st.dead == 0 || st.dead < len(st.vars)/4 {
 		return
 	}
@@ -123,6 +130,8 @@ func (st *Store) compactLive() {
 	for _, v := range st.vars {
 		if v.parent == nil {
 			out = append(out, v)
+		} else {
+			st.listed[v.id/64] &^= 1 << (v.id % 64)
 		}
 	}
 	st.vars = out

@@ -33,8 +33,8 @@ type Var struct {
 
 // SolSlot is per-variable storage for a least-solution engine: an opaque
 // solution node (engine-owned; nil means never computed), a dirty mark for
-// the next pass's recomputation cone, and a scratch index for the pass's
-// ascending sweep.
+// the next pass's recomputation cone, and a scratch index for the pass
+// (zero outside it).
 type SolSlot struct {
 	Node    any
 	Pending bool

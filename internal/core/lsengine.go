@@ -33,11 +33,15 @@ import (
 //  3. Dirty-cone incremental recomputation. The solver bumps a graph
 //     version only on mutations that can change a least solution (new
 //     source edge, new predecessor edge, collapse) and marks the affected
-//     variable; redundant re-additions keep the cache hot. A pass then
-//     recomputes only the marked variables and their downstream cone —
-//     computed in the same ascending sweep that assigns levels, since a
-//     variable is stale exactly when one of its predecessors is — and
-//     every other variable keeps its cached node.
+//     variable; redundant re-additions keep the cache hot. A pass
+//     recomputes only its cone: the marked variables, those with no node
+//     yet, and everything downstream of them along predecessor edges.
+//     The first pass's cone is every canonical variable; later passes
+//     walk forward from the seeds over the consumer index (x → the y
+//     with x ∈ PredV(y)), so they cost O(cone), not O(graph). The index
+//     is built by the first incremental pass — a batch analysis running
+//     one pass never pays for it — and then kept up at every predecessor
+//     insertion, collapse and retraction rollback.
 
 // lsIndexThreshold is the node size above which membership tests build a
 // lazily-cached hash index instead of scanning the term list.
@@ -251,56 +255,43 @@ func (s *System) lsWorkers() int {
 func (s *System) runLeastSolutionPass() {
 	start := time.Now()
 	full := s.lsEngine == nil
+	var cone []*Var
 	if full {
 		s.lsEngine = newLSEngine()
+		cone = s.CanonicalVars()
+	} else {
+		cone = s.lsCone()
 	}
 	e := s.lsEngine
 	hits0, misses0 := e.hits.Load(), e.misses.Load()
 
-	vars := s.CanonicalVars()
-	sort.Slice(vars, func(i, j int) bool { return before(vars[i], vars[j]) })
-
-	// Ascending sweep: canonicalise adjacency, assign topological levels
-	// over the predecessor DAG, and mark the dirty cone. A variable is in
-	// the cone when it has no node yet, was marked by a mutation, or has a
-	// predecessor in the cone; predecessors strictly precede in o(·), so
-	// one pass settles both level and cone membership. Sweep positions
-	// live in Var.Sol.Idx so pred lookups cost an indexed load, not a map
-	// probe.
-	for i, v := range vars {
-		v.Sol.Idx = int32(i)
+	// Ascending sweep over the cone: canonicalise adjacency and assign
+	// topological levels over the predecessor DAG restricted to the cone
+	// (a predecessor outside it is final). Predecessors strictly precede
+	// in o(·), so one pass settles every level. 1-based cone positions
+	// live in Var.Sol.Idx (0 outside the cone), so pred lookups cost an
+	// indexed load, not a map probe.
+	sort.Slice(cone, func(i, j int) bool { return before(cone[i], cone[j]) })
+	for i, v := range cone {
+		v.Sol.Idx = int32(i + 1)
 	}
-	level := make([]int, len(vars))
-	inCone := make([]bool, len(vars))
-	maxLevel, cone := 0, 0
-	for i, y := range vars {
+	level := make([]int, len(cone))
+	maxLevel := 0
+	for i, y := range cone {
 		s.store.Clean(y)
 		lv := 0
-		rec := full || y.Sol.Node == nil || y.Sol.Pending
 		for _, x := range y.PredV.List() {
-			j := x.Sol.Idx
-			if level[j] >= lv {
+			if j := x.Sol.Idx - 1; j >= 0 && level[j] >= lv {
 				lv = level[j] + 1
-			}
-			if inCone[j] {
-				rec = true
 			}
 		}
 		level[i] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-		if rec {
-			inCone[i] = true
-			cone++
-		}
+		maxLevel = max(maxLevel, lv)
 	}
 
 	buckets := make([][]int, maxLevel+1)
-	for i := range vars {
-		if inCone[i] {
-			buckets[level[i]] = append(buckets[level[i]], i)
-		}
+	for i := range cone {
+		buckets[level[i]] = append(buckets[level[i]], i)
 	}
 
 	workers := s.lsWorkers()
@@ -310,7 +301,7 @@ func (s *System) runLeastSolutionPass() {
 		}
 		if workers <= 1 || len(b) < lsParallelThreshold {
 			for _, i := range b {
-				vars[i].Sol.Node = e.evalVar(vars[i])
+				cone[i].Sol.Node = e.evalVar(cone[i])
 			}
 			continue
 		}
@@ -332,21 +323,25 @@ func (s *System) runLeastSolutionPass() {
 			go func(part []int) {
 				defer wg.Done()
 				for _, i := range part {
-					vars[i].Sol.Node = e.evalVar(vars[i])
+					cone[i].Sol.Node = e.evalVar(cone[i])
 				}
 			}(b[lo:hi])
 		}
 		wg.Wait()
 	}
 
+	for _, v := range cone {
+		v.Sol.Idx = 0
+	}
 	for _, v := range s.lsPending {
 		v.Sol.Pending = false
 	}
 	s.lsPending = s.lsPending[:0]
+	s.lsCreated = s.store.NumCreated()
 	s.lsVersion = s.graphVersion
 
 	s.stats.LSPasses++
-	s.stats.LSConeVars += int64(cone)
+	s.stats.LSConeVars += int64(len(cone))
 	s.stats.LSLevels = int64(len(buckets))
 	s.stats.LSUnionHits = e.hits.Load()
 	s.stats.LSUnionMisses = e.misses.Load()
@@ -356,12 +351,95 @@ func (s *System) runLeastSolutionPass() {
 		s.opt.Metrics.LeastSolutionDone(LSPass{
 			Duration:    time.Since(start),
 			Levels:      len(buckets),
-			ConeVars:    cone,
-			TotalVars:   len(vars),
+			ConeVars:    len(cone),
+			TotalVars:   s.store.NumLive(),
 			UnionHits:   e.hits.Load() - hits0,
 			UnionMisses: e.misses.Load() - misses0,
 			Workers:     workers,
 		})
+	}
+}
+
+// lsCone returns an incremental pass's cone, each variable's Sol.Idx made
+// non-zero: the canonical variables that are marked dirty or have no node
+// yet (created since the last pass, or reset by a retraction), closed
+// forward over the consumer index. It builds the index on first use.
+func (s *System) lsCone() []*Var {
+	if s.lsConsumers == nil {
+		s.lsConsumers = make([][]*Var, s.store.NumCreated())
+		for _, y := range s.CanonicalVars() {
+			for _, x := range y.PredV.List() {
+				if x = find(x); x != y {
+					s.addConsumer(x, y)
+				}
+			}
+		}
+	}
+	var cone []*Var
+	add := func(v *Var) {
+		if v.Forwarded() || v.Sol.Idx != 0 {
+			return
+		}
+		v.Sol.Idx = 1
+		cone = append(cone, v)
+	}
+	for _, v := range s.lsPending {
+		if v.Sol.Pending || v.Sol.Node == nil {
+			add(v)
+		}
+	}
+	for i := s.lsCreated; i < s.store.NumCreated(); i++ {
+		if v := s.store.CreatedVar(i); v.Sol.Node == nil {
+			add(v)
+		}
+	}
+	for i := 0; i < len(cone); i++ {
+		x := cone[i]
+		if x.ID() >= len(s.lsConsumers) {
+			continue
+		}
+		ys := s.lsConsumers[x.ID()]
+		kept := ys[:0]
+		for _, y := range ys {
+			if y.Forwarded() || y == x {
+				continue // stale: merged away, or merged into x
+			}
+			kept = append(kept, y)
+			add(y)
+		}
+		clear(ys[len(kept):])
+		s.lsConsumers[x.ID()] = kept
+	}
+	return cone
+}
+
+// addConsumer records y in x's consumer list (x ∈ PredV(y)).
+func (s *System) addConsumer(x, y *Var) {
+	id := x.ID()
+	if id >= len(s.lsConsumers) {
+		s.lsConsumers = append(s.lsConsumers, make([][]*Var, id+1-len(s.lsConsumers))...)
+	}
+	s.lsConsumers[id] = append(s.lsConsumers[id], y)
+}
+
+// moveConsumers hands the consumers of a, just merged into w, to w: their
+// stale PredV entries for a canonicalise to w.
+func (s *System) moveConsumers(a, w *Var) {
+	if a.ID() >= len(s.lsConsumers) {
+		return
+	}
+	for _, y := range s.lsConsumers[a.ID()] {
+		s.addConsumer(w, y)
+	}
+	s.lsConsumers[a.ID()] = nil
+}
+
+// dropConsumers empties v's consumer list when a retraction resets v. The
+// dirty region is edge-closed, so every consumer of v is reset too; the
+// replay re-inserts the surviving edges.
+func (s *System) dropConsumers(v *Var) {
+	if v.ID() < len(s.lsConsumers) {
+		s.lsConsumers[v.ID()] = s.lsConsumers[v.ID()][:0]
 	}
 }
 

@@ -74,10 +74,11 @@ type MetricsSink interface {
 type LSPass struct {
 	// Duration is the wall-clock time of the pass.
 	Duration time.Duration
-	// Levels is the number of topological levels in the predecessor DAG.
+	// Levels is the number of topological levels of the predecessor DAG
+	// restricted to the pass's cone (the whole DAG on a first pass).
 	Levels int
 	// ConeVars is the number of variables actually recomputed (the dirty
-	// cone); TotalVars is the number of canonical variables swept.
+	// cone); TotalVars is the number of canonical variables.
 	ConeVars  int
 	TotalVars int
 	// UnionHits and UnionMisses count memoized-union lookups during this
@@ -225,8 +226,8 @@ type Options struct {
 	// (range) propagation; results are bit-identical at either setting.
 	Repr StorageRepr
 	// Retractable enables constraint retraction: every batch added
-	// between BeginBatch/EndBatch is recorded (constraints, variable
-	// footprint, per-edge reason multisets) so RetractBatches can later
+	// between BeginBatch/EndBatch is recorded (constraints and variable
+	// footprint) so RetractBatches can later
 	// remove it and rebuild only the entangled dirty cone. Off by
 	// default: tracking costs memory proportional to the added
 	// constraints and a branch per edge attempt, and a non-retractable

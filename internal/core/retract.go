@@ -1,49 +1,34 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
-// This file implements constraint retraction with reason tracking. The
-// design (DESIGN.md §12) has three parts:
+// This file implements constraint retraction (DESIGN.md §12): batch
+// footprints plus rollback and ordered replay.
 //
-//  1. Batch footprints. With Options.Retractable set, every top-level
-//     constraint is added inside a batch (BeginBatch/EndBatch; the façade
-//     wraps single adds in implicit one-constraint batches). While a batch
-//     is open the engine records, in the batch's record, every variable an
-//     edge attempt or collapse touches — the *post-find endpoints*, fresh
-//     and redundant attempts alike. Because both endpoints of every
-//     insertion land in the inserting batch's footprint, no edge ever
-//     crosses from a variable inside a union of footprints to one outside
-//     it: footprint-connected components of batches are edge-disjoint
-//     regions of the graph.
+// With Options.Retractable set, every top-level constraint is added inside
+// a batch (BeginBatch/EndBatch; the façade wraps single adds in implicit
+// one-constraint batches). While a batch is open, every variable an edge
+// attempt or collapse touches — post-find endpoints, fresh and redundant
+// attempts alike — joins its footprint, and the batch joins the
+// variable's posting list. Both endpoints of every insertion land in the
+// inserting batch's footprint, so footprint-connected groups of batches
+// own edge-disjoint regions of the graph.
 //
-//  2. Reason multisets. Every edge attempt bumps a per-edge bag keyed by
-//     the batch id (ICDGraph-style multiset semantics): a fact asserted
-//     two ways holds two justifications and survives losing one. The bags
-//     drive the no-op fast path — retracting a batch that never mutated
-//     the graph (every attempt redundant, no collapse) only removes its
-//     justifications and leaves the graph, version, and least-solution
-//     cache untouched — and are the retract-side counterpart of the
-//     Stats.Redundant accounting.
-//
-//  3. Rollback + ordered replay. RetractBatches computes the entanglement
-//     fixpoint: the dirty region is the union of footprints of every batch
-//     reachable from the retracted ones through footprint intersection.
-//     Every dirty variable is reset wholesale to its freshly-created state
-//     (adjacency cleared, forwarding removed — this un-collapses every
-//     witness in the region and is the CSR story as well: the variable's
-//     arena segments are retired and rebuilt, no per-edge surgery), and
-//     the surviving dirty batches are replayed in their original order
-//     through the normal push/drain path. Clean components are untouched
-//     and replay is confined to the dirty region, so the result is
-//     bit-identical — partition signature and least solutions — to a
-//     from-scratch solve of the surviving constraints (the differential
-//     suite in retract_test.go is the gate). The least-solution cache is
-//     invalidated for exactly the dirty cone via the existing
-//     graphVersion/markLS machinery.
+// RetractBatches walks the postings to the dirty region — every batch
+// reachable from the retracted ones through shared footprint variables —
+// resets the region's variables to their created state (which
+// un-collapses its witnesses), and replays the surviving region batches
+// in application order, which is id order. Clean regions are untouched,
+// so the result is bit-identical to a from-scratch solve of the
+// survivors (retract_test.go and FuzzRetractDifferential are the gates),
+// a fact two batches derive survives losing one because the other's
+// replay derives it again, and the cost is O(region), not O(graph).
 //
 // The replay argument needs every mutation to happen inside a tracked
 // batch: CyclePeriodic's interval-coupled global sweeps are rejected at
@@ -68,9 +53,9 @@ var ErrNotRetractable = errors.New("polce: solver not configured for retraction"
 // retracted, the size of the dirty cone that was rolled back (DirtyVars out
 // of TotalVars canonical variables at entry — the cone being much smaller
 // than the graph is the whole point), and how much surviving work was
-// replayed. NoOp reports the fast path: no retracted batch had ever
-// mutated the graph, so only justification bags changed. The same struct
-// is delivered to MetricsSink.RetractDone.
+// replayed. NoOp reports that no retracted batch had ever mutated the
+// graph, so the graph was left as it was. The same struct is delivered to
+// MetricsSink.RetractDone.
 type RetractReport struct {
 	// Duration is the wall-clock time of the whole retraction, rollback
 	// and replay included.
@@ -90,49 +75,33 @@ type RetractReport struct {
 	NoOp bool `json:"noop"`
 }
 
-// edgeKey identifies one atomic edge for the reason bags: a variable edge
-// x ⊆ y, a source edge t ⊆ x, or a sink edge x ⊆ t. Variables and terms
-// key by identity, matching the adjacency sets themselves.
-type edgeKey struct {
-	kind uint8
-	x, y *Var
-	t    *Term
-}
-
-const (
-	keyVarEdge uint8 = iota
-	keySrcEdge
-	keySinkEdge
-)
-
 // retractCon is one recorded top-level constraint of a batch, kept for
 // replay. The expression pointers stay valid across rollback because the
 // vocabulary is never undone.
 type retractCon struct{ l, r Expr }
 
 // batchRecord is the undo-log entry for one batch: its constraints in
-// application order, its variable footprint, the reason-bag keys it
-// bumped, and its mutation counters.
+// application order, its variable footprint, and its mutation counters.
 type batchRecord struct {
 	id      uint64
 	cons    []retractCon
-	touched map[*Var]struct{}
-	keys    []edgeKey
+	touched []*Var // footprint, each variable once
 
-	inserted  int // fresh edge insertions (including edges consumed by a collapse)
-	collapses int // collapses this batch triggered
-	errs      int // inconsistencies recorded while this batch was open
+	inserted int // fresh edge attempts, including those a collapse consumed
+	errs     int // inconsistencies recorded while this batch was open
+
+	dirty bool // in the dirty region of the retraction in progress
 }
 
-// mutated reports whether the batch changed the graph at all.
-func (b *batchRecord) mutated() bool { return b.inserted > 0 || b.collapses > 0 }
+// mutated reports whether the batch changed the graph at all. Every online
+// collapse is triggered by a fresh edge attempt, so inserted covers it.
+func (b *batchRecord) mutated() bool { return b.inserted > 0 }
 
 // resetForReplay clears the footprint and counters while keeping the
 // recorded constraints; the replay re-records them as it re-applies.
 func (b *batchRecord) resetForReplay() {
-	b.touched = make(map[*Var]struct{}, len(b.touched))
-	b.keys = b.keys[:0]
-	b.inserted, b.collapses, b.errs = 0, 0, 0
+	b.touched = b.touched[:0]
+	b.inserted, b.errs = 0, 0
 }
 
 // retractState is the per-system retraction bookkeeping, allocated only
@@ -142,11 +111,10 @@ type retractState struct {
 	nextID  uint64
 	active  *batchRecord
 	batches map[uint64]*batchRecord
-	order   []uint64 // live batch ids in application order
 
-	// reasons is the per-edge justification multiset: edge → batch id →
-	// number of attempts by that batch.
-	reasons map[edgeKey]map[uint64]int
+	// postings maps a variable's creation index to the live batches whose
+	// footprint holds it, in application order.
+	postings [][]*batchRecord
 
 	// errBatch runs parallel to System.errs: the batch id each retained
 	// error is attributed to (0 when recorded outside any batch).
@@ -159,41 +127,29 @@ type retractState struct {
 }
 
 func newRetractState() *retractState {
-	return &retractState{
-		batches: make(map[uint64]*batchRecord),
-		reasons: make(map[edgeKey]map[uint64]int),
-	}
+	return &retractState{batches: make(map[uint64]*batchRecord)}
 }
 
-// bump adds one justification for edge k by batch b.
-func (r *retractState) bump(b *batchRecord, k edgeKey) {
-	bag := r.reasons[k]
-	if bag == nil {
-		bag = make(map[uint64]int, 1)
-		r.reasons[k] = bag
+// touch adds v to b's footprint and b to v's postings, once per batch.
+func (r *retractState) touch(b *batchRecord, v *Var) {
+	id := v.ID()
+	if id >= len(r.postings) {
+		r.postings = append(r.postings, make([][]*batchRecord, id+1-len(r.postings))...)
 	}
-	bag[b.id]++
-	b.keys = append(b.keys, k)
+	p := r.postings[id]
+	if n := len(p); n > 0 && p[n-1] == b {
+		return
+	}
+	r.postings[id] = append(p, b)
+	b.touched = append(b.touched, v)
 }
 
-// dropReasons removes every justification b holds, deleting bags that
-// empty — the multiset semantics: a fact loses only this batch's votes.
-func (r *retractState) dropReasons(b *batchRecord) {
-	for _, k := range b.keys {
-		bag := r.reasons[k]
-		if bag == nil {
-			continue
-		}
-		if bag[b.id] <= 1 {
-			delete(bag, b.id)
-		} else {
-			bag[b.id]--
-		}
-		if len(bag) == 0 {
-			delete(r.reasons, k)
-		}
+// unpost removes b from the postings of every variable in its footprint.
+func (r *retractState) unpost(b *batchRecord) {
+	for _, v := range b.touched {
+		id := v.ID()
+		r.postings[id] = slices.DeleteFunc(r.postings[id], func(q *batchRecord) bool { return q == b })
 	}
-	b.keys = b.keys[:0]
 }
 
 // Retractable reports whether the system tracks batches for retraction.
@@ -220,9 +176,8 @@ func (s *System) BeginBatch() uint64 {
 		panic("core: BeginBatch inside an open batch")
 	}
 	r.nextID++
-	b := &batchRecord{id: r.nextID, touched: make(map[*Var]struct{})}
+	b := &batchRecord{id: r.nextID}
 	r.batches[b.id] = b
-	r.order = append(r.order, b.id)
 	r.active = b
 	return b.id
 }
@@ -237,7 +192,12 @@ func (s *System) EndBatch() {
 // Hook helpers, called from the resolution engine behind a nil check on
 // s.retract so the non-retractable hot path pays one branch per site.
 
-func (s *System) retractSrc(t *Term, x *Var, fresh bool) {
+// retractEdge records an attempted edge on x, and on y for a variable edge
+// x ⊆ y (y is nil for source and sink edges). A fresh attempt that the
+// cycle strategy consumes (collapsing instead of inserting) still counts
+// as a mutation: the collapse hook adds the merged variables, and the
+// inserted counter makes the batch a seed of the retraction fixpoint.
+func (s *System) retractEdge(x, y *Var, fresh bool) {
 	r := s.retract
 	b := r.active
 	if b == nil {
@@ -246,45 +206,10 @@ func (s *System) retractSrc(t *Term, x *Var, fresh bool) {
 		}
 		return
 	}
-	b.touched[x] = struct{}{}
-	r.bump(b, edgeKey{kind: keySrcEdge, x: x, t: t})
-	if fresh {
-		b.inserted++
+	r.touch(b, x)
+	if y != nil {
+		r.touch(b, y)
 	}
-}
-
-func (s *System) retractSink(x *Var, t *Term, fresh bool) {
-	r := s.retract
-	b := r.active
-	if b == nil {
-		if fresh {
-			r.tainted = true
-		}
-		return
-	}
-	b.touched[x] = struct{}{}
-	r.bump(b, edgeKey{kind: keySinkEdge, x: x, t: t})
-	if fresh {
-		b.inserted++
-	}
-}
-
-// retractVarEdge records an attempted variable edge x ⊆ y. A fresh attempt
-// that the cycle strategy consumes (collapsing instead of inserting) still
-// counts as a mutation: the collapse hook adds the merged variables, and
-// the inserted counter keeps the batch off the no-op fast path.
-func (s *System) retractVarEdge(x, y *Var, fresh bool) {
-	r := s.retract
-	b := r.active
-	if b == nil {
-		if fresh {
-			r.tainted = true
-		}
-		return
-	}
-	b.touched[x] = struct{}{}
-	b.touched[y] = struct{}{}
-	r.bump(b, edgeKey{kind: keyVarEdge, x: x, y: y})
 	if fresh {
 		b.inserted++
 	}
@@ -297,11 +222,10 @@ func (s *System) retractCollapse(witness *Var, merged []*Var) {
 		r.tainted = true
 		return
 	}
-	b.touched[witness] = struct{}{}
+	r.touch(b, witness)
 	for _, v := range merged {
-		b.touched[v] = struct{}{}
+		r.touch(b, v)
 	}
-	b.collapses++
 }
 
 func (s *System) retractErr(retained bool) {
@@ -316,10 +240,11 @@ func (s *System) retractErr(retained bool) {
 	}
 }
 
-// dropErrors removes every retained error attributed to a dirty batch and
-// subtracts the dirty batches' full error counts (dropped ones included)
-// from the running total. Survivors' errors are re-recorded by the replay.
-func (s *System) dropErrors(dirty map[uint64]*batchRecord) {
+// dropErrors removes every retained error attributed to a batch marked
+// dirty and subtracts the given batches' full error counts (dropped ones
+// included) from the running total. The batches must all be marked and
+// still registered. Survivors' errors are re-recorded by the replay.
+func (s *System) dropErrors(dirty []*batchRecord) {
 	r := s.retract
 	for _, b := range dirty {
 		s.errCount -= b.errs
@@ -329,7 +254,7 @@ func (s *System) dropErrors(dirty map[uint64]*batchRecord) {
 	ids := r.errBatch[:0]
 	for i, e := range s.errs {
 		id := r.errBatch[i]
-		if _, isDirty := dirty[id]; isDirty {
+		if b := r.batches[id]; b != nil && b.dirty {
 			continue
 		}
 		errs = append(errs, e)
@@ -360,13 +285,15 @@ func (s *System) RetractBatches(ids []uint64) (RetractReport, error) {
 	if len(s.work) != 0 {
 		panic("core: RetractBatches with a non-empty worklist")
 	}
-	targets := make(map[uint64]*batchRecord, len(ids))
+	targets := make([]*batchRecord, 0, len(ids))
 	for _, id := range ids {
 		b, ok := r.batches[id]
 		if !ok {
 			return RetractReport{}, fmt.Errorf("%w: batch %d", ErrUnknownBatch, id)
 		}
-		targets[id] = b
+		if !slices.Contains(targets, b) {
+			targets = append(targets, b)
+		}
 	}
 	if r.tainted {
 		return RetractReport{}, fmt.Errorf("%w: graph was mutated outside batch tracking (offline collapse)", ErrNotRetractable)
@@ -374,117 +301,84 @@ func (s *System) RetractBatches(ids []uint64) (RetractReport, error) {
 	start := time.Now()
 	rep := RetractReport{
 		Batches:   len(targets),
-		TotalVars: len(s.CanonicalVars()),
+		TotalVars: s.store.NumLive(),
 	}
 
-	// Seed the entanglement fixpoint with the retracted batches that
-	// actually mutated the graph.
-	var queue []*batchRecord
+	// Entanglement fixpoint, seeded with the retracted batches that
+	// actually mutated the graph: a batch is dirty when its footprint
+	// meets a dirty variable; a variable is dirty when a dirty batch
+	// touched it. Each dirty variable's postings are walked once and
+	// cleared (replay re-posts them), so an empty list marks a variable
+	// already taken: every footprint variable holds its own batch's
+	// posting.
+	var region []*batchRecord
 	for _, b := range targets {
 		if b.mutated() {
-			queue = append(queue, b)
+			b.dirty = true
+			region = append(region, b)
 		}
 	}
-
-	if len(queue) == 0 {
-		// Fast path: no retracted batch ever mutated the graph. Remove
-		// their justifications and errors; edges stay (their inserting
-		// batches survive), the version moves only if errors changed, and
-		// the least-solution cache stays hot.
-		anyErrs := false
-		for _, b := range targets {
-			r.dropReasons(b)
-			if b.errs > 0 {
-				anyErrs = true
-			}
-		}
-		if anyErrs {
-			s.dropErrors(targets)
-			s.graphVersion++
-		}
-		s.removeBatches(targets)
-		rep.NoOp = !anyErrs
-		rep.Duration = time.Since(start)
-		s.finishRetract(rep)
-		return rep, nil
-	}
-
-	// Entanglement fixpoint: a batch is dirty when its footprint meets a
-	// dirty variable; a variable is dirty when a dirty batch touched it.
-	// Because every insertion put both endpoints in its batch's footprint,
-	// the dirty variables form edge-closed components: no edge connects
-	// them to the clean remainder.
-	varIndex := make(map[*Var][]*batchRecord)
-	for _, id := range r.order {
-		b := r.batches[id]
-		for v := range b.touched {
-			varIndex[v] = append(varIndex[v], b)
-		}
-	}
-	dirtyBatches := make(map[uint64]*batchRecord, len(queue))
-	dirtyVars := make(map[*Var]struct{})
-	for _, b := range queue {
-		dirtyBatches[b.id] = b
-	}
-	for len(queue) > 0 {
-		b := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for v := range b.touched {
-			if _, ok := dirtyVars[v]; ok {
+	var cone []*Var
+	for i := 0; i < len(region); i++ {
+		for _, v := range region[i].touched {
+			p := r.postings[v.ID()]
+			if len(p) == 0 {
 				continue
 			}
-			dirtyVars[v] = struct{}{}
-			for _, nb := range varIndex[v] {
-				if _, ok := dirtyBatches[nb.id]; !ok {
-					dirtyBatches[nb.id] = nb
-					queue = append(queue, nb)
+			r.postings[v.ID()] = p[:0]
+			cone = append(cone, v)
+			for _, nb := range p {
+				if !nb.dirty {
+					nb.dirty = true
+					region = append(region, nb)
 				}
 			}
 		}
 	}
-	// Fold in no-op targets so bookkeeping below removes them uniformly.
-	for id, b := range targets {
-		if _, ok := dirtyBatches[id]; !ok {
-			dirtyBatches[id] = b
+	// Targets that never mutated the graph and sit outside the region
+	// only lose their postings: their edges stay, inserted by survivors.
+	for _, b := range targets {
+		if !b.dirty {
+			r.unpost(b)
+			b.dirty = true
+			region = append(region, b)
 		}
 	}
 
 	// Rollback: reset every dirty variable to its created state (this
 	// un-collapses every witness in the region and retires its arena
-	// segments), rebuild the live list, drop the dirty batches'
-	// justifications and errors, and invalidate the dirty cone's
-	// least-solution entries.
-	for v := range dirtyVars {
+	// segments), invalidate its least-solution entry, and drop the dirty
+	// batches' errors. With an empty cone the graph, version and
+	// least-solution cache stay as they were unless errors went.
+	for _, v := range cone {
 		s.store.ResetVar(v)
-	}
-	s.store.RebuildLive()
-	anyErrs := false
-	for _, b := range dirtyBatches {
-		r.dropReasons(b)
-		if b.errs > 0 {
-			anyErrs = true
-		}
-	}
-	if anyErrs {
-		s.dropErrors(dirtyBatches)
-	}
-	for v := range dirtyVars {
+		s.dropConsumers(v)
 		s.markLS(v)
 	}
+	anyErrs := false
+	for _, b := range region {
+		anyErrs = anyErrs || b.errs > 0
+	}
+	if anyErrs {
+		s.dropErrors(region)
+		if len(cone) == 0 {
+			s.graphVersion++
+		}
+	}
+	rep.NoOp = len(cone) == 0 && !anyErrs
 
 	// Replay the surviving dirty batches in original application order.
 	// Clean batches' regions are untouched; dirty survivors rebuild their
 	// components exactly as a from-scratch solve of the survivors would.
-	newOrder := r.order[:0]
-	for _, id := range r.order {
-		b := r.batches[id]
-		if _, isTarget := targets[id]; isTarget {
-			continue
+	replay := make([]*batchRecord, 0, len(region))
+	for _, b := range region {
+		b.dirty = false
+		if !slices.Contains(targets, b) {
+			replay = append(replay, b)
 		}
-		newOrder = append(newOrder, id)
-		if _, isDirty := dirtyBatches[id]; !isDirty {
-			continue
-		}
+	}
+	slices.SortFunc(replay, func(a, b *batchRecord) int { return cmp.Compare(a.id, b.id) })
+	for _, b := range replay {
 		b.resetForReplay()
 		r.active = b
 		for _, c := range b.cons {
@@ -495,30 +389,19 @@ func (s *System) RetractBatches(ids []uint64) (RetractReport, error) {
 		rep.ReplayedBatches++
 		rep.ReplayedConstraints += len(b.cons)
 	}
-	r.order = newOrder
 	s.removeBatches(targets)
 
-	rep.DirtyVars = len(dirtyVars)
+	rep.DirtyVars = len(cone)
 	rep.Duration = time.Since(start)
 	s.finishRetract(rep)
 	return rep, nil
 }
 
-// removeBatches deletes the retracted batches' records. Order filtering is
-// done by the caller when it rebuilds r.order; the fast path has no
-// rebuild, so it filters here.
-func (s *System) removeBatches(targets map[uint64]*batchRecord) {
-	r := s.retract
-	for id := range targets {
-		delete(r.batches, id)
+// removeBatches deletes the retracted batches' records.
+func (s *System) removeBatches(targets []*batchRecord) {
+	for _, b := range targets {
+		delete(s.retract.batches, b.id)
 	}
-	order := r.order[:0]
-	for _, id := range r.order {
-		if _, ok := r.batches[id]; ok {
-			order = append(order, id)
-		}
-	}
-	r.order = order
 }
 
 // finishRetract updates the retraction counters and notifies the sink.

@@ -367,49 +367,60 @@ func sameStringSet(a, b []string) bool {
 }
 
 // TestRetractReasonMultiset asserts the ICDGraph multiset semantics: a
-// fact justified by two batches survives retracting one and disappears
-// only when the last justification goes.
+// fact justified by two batches survives retracting either one and
+// disappears only when the last justification goes. Retracting the
+// redundant second batch is a no-op; retracting the first, which
+// inserted the edges, replays the second, which derives them again.
 func TestRetractReasonMultiset(t *testing.T) {
-	opt := Options{Form: IF, Cycles: CycleOnline, Seed: 3, Retractable: true}
-	s := NewSystem(opt)
-	x := s.Fresh("x")
-	y := s.Fresh("y")
-	leaf := NewTerm(NewConstructor("leaf"))
+	for _, firstOut := range []bool{false, true} {
+		opt := Options{Form: IF, Cycles: CycleOnline, Seed: 3, Retractable: true}
+		s := NewSystem(opt)
+		x := s.Fresh("x")
+		y := s.Fresh("y")
+		leaf := NewTerm(NewConstructor("leaf"))
 
-	add := func(cs ...[2]Expr) uint64 {
-		id := s.BeginBatch()
-		for _, c := range cs {
-			s.AddConstraint(c[0], c[1])
+		add := func(cs ...[2]Expr) uint64 {
+			id := s.BeginBatch()
+			for _, c := range cs {
+				s.AddConstraint(c[0], c[1])
+			}
+			s.EndBatch()
+			return id
 		}
-		s.EndBatch()
-		return id
-	}
-	b1 := add([2]Expr{leaf, x}, [2]Expr{x, y})
-	b2 := add([2]Expr{leaf, x}, [2]Expr{x, y}) // same facts, second justification
+		b1 := add([2]Expr{leaf, x}, [2]Expr{x, y})
+		b2 := add([2]Expr{leaf, x}, [2]Expr{x, y}) // same facts, second justification
 
-	wantLS := func(label string, want int) {
-		t.Helper()
-		if got := len(s.LeastSolution(y)); got != want {
-			t.Fatalf("%s: len(LS(y)) = %d, want %d", label, got, want)
+		wantLS := func(label string, want int) {
+			t.Helper()
+			if got := len(s.LeastSolution(y)); got != want {
+				t.Fatalf("firstOut=%v %s: len(LS(y)) = %d, want %d", firstOut, label, got, want)
+			}
 		}
-	}
-	wantLS("both batches live", 1)
+		wantLS("both batches live", 1)
 
-	rep, err := s.RetractBatches([]uint64{b2})
-	if err != nil {
-		t.Fatalf("retract b2: %v", err)
-	}
-	if !rep.NoOp {
-		t.Errorf("retracting the redundant batch should be a no-op, got %+v", rep)
-	}
-	wantLS("after retracting second justification", 1)
+		out, last := b2, b1
+		if firstOut {
+			out, last = b1, b2
+		}
+		rep, err := s.RetractBatches([]uint64{out})
+		if err != nil {
+			t.Fatalf("retract %d: %v", out, err)
+		}
+		if rep.NoOp == firstOut {
+			t.Errorf("firstOut=%v: NoOp = %v, want %v (%+v)", firstOut, rep.NoOp, !firstOut, rep)
+		}
+		if firstOut && rep.ReplayedBatches != 1 {
+			t.Errorf("retracting the inserting batch replayed %d batches, want the surviving one", rep.ReplayedBatches)
+		}
+		wantLS("after retracting one justification", 1)
 
-	if _, err := s.RetractBatches([]uint64{b1}); err != nil {
-		t.Fatalf("retract b1: %v", err)
-	}
-	wantLS("after retracting last justification", 0)
-	if got := s.BatchCount(); got != 0 {
-		t.Errorf("BatchCount = %d, want 0", got)
+		if _, err := s.RetractBatches([]uint64{last}); err != nil {
+			t.Fatalf("retract %d: %v", last, err)
+		}
+		wantLS("after retracting last justification", 0)
+		if got := s.BatchCount(); got != 0 {
+			t.Errorf("BatchCount = %d, want 0", got)
+		}
 	}
 }
 
@@ -548,5 +559,73 @@ func TestRetractConeLocality(t *testing.T) {
 				t.Errorf("untouched cluster lost its LS (got %d terms)", got)
 			}
 		})
+	}
+}
+
+// TestEditCostScalesWithCone pins that an edit — retract one batch, add
+// it back, read its variables' least solutions — costs its cone, not the
+// graph: on cluster graphs shaped like polce-bench's retraction workload,
+// 16× more clusters leave the dirty cones unchanged and allocate at most
+// 1.5× as often per edit. Allocation counts are deterministic, so this is
+// a scaling gate that timing noise cannot flake.
+func TestEditCostScalesWithCone(t *testing.T) {
+	type cost struct {
+		allocs    float64
+		dirtyVars int
+		lsCone    int64
+	}
+	measure := func(clusters int) cost {
+		const size, edited = 12, 100 // cluster 101 reads cluster 100's last variable
+		s := NewSystem(Options{Form: IF, Cycles: CycleOnline, Seed: 1, Retractable: true})
+		vars := make([][]*Var, clusters)
+		for c := range vars {
+			for i := 0; i < size; i++ {
+				vars[c] = append(vars[c], s.Fresh(fmt.Sprintf("c%d_v%d", c, i)))
+			}
+		}
+		add := func(c int) uint64 {
+			id := s.BeginBatch()
+			s.AddConstraint(NewTerm(NewConstructor(fmt.Sprintf("a%d", c))), vars[c][0])
+			for i := 1; i < size; i++ {
+				s.AddConstraint(vars[c][i-1], vars[c][i])
+			}
+			s.AddConstraint(vars[c][size-1], vars[c][size/2])
+			if c%3 == 2 {
+				s.AddConstraint(vars[c-1][size-1], vars[c][0])
+			}
+			s.EndBatch()
+			return id
+		}
+		ids := make([]uint64, clusters)
+		for c := range ids {
+			ids[c] = add(c)
+		}
+		s.ComputeLeastSolutions()
+
+		var out cost
+		out.allocs = testing.AllocsPerRun(20, func() {
+			rep, err := s.RetractBatches([]uint64{ids[edited]})
+			if err != nil {
+				t.Fatalf("retract: %v", err)
+			}
+			ids[edited] = add(edited)
+			cone0 := s.Stats().LSConeVars
+			for _, v := range vars[edited] {
+				if len(s.LeastSolution(v)) != 1 {
+					t.Fatalf("LS(%s) lost its atom", v.Name())
+				}
+			}
+			out.dirtyVars, out.lsCone = rep.DirtyVars, s.Stats().LSConeVars-cone0
+		})
+		return out
+	}
+	small, large := measure(256), measure(4096)
+	t.Logf("256 clusters: %+v; 4096 clusters: %+v", small, large)
+	if small.dirtyVars != large.dirtyVars || small.lsCone != large.lsCone {
+		t.Errorf("cones moved with graph size: retract %d vs %d vars, LS pass %d vs %d vars",
+			small.dirtyVars, large.dirtyVars, small.lsCone, large.lsCone)
+	}
+	if large.allocs > 1.5*small.allocs {
+		t.Errorf("allocations per edit grew with the graph: %.1f at 256 clusters, %.1f at 4096", small.allocs, large.allocs)
 	}
 }

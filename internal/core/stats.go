@@ -37,7 +37,8 @@ type Stats struct {
 	// of dirty-cone sizes, the engine's cost measure.
 	LSConeVars int64
 	// LSLevels is the number of topological levels of the predecessor DAG
-	// in the most recent pass.
+	// restricted to the most recent pass's cone (the whole DAG on a first
+	// pass).
 	LSLevels int64
 	// LSUnionHits and LSUnionMisses count memoized-union lookups across
 	// all passes: a hit reuses an interned result, a miss computes one.

@@ -94,12 +94,16 @@ type System struct {
 	// graphVersion is bumped only by mutations that can change a least
 	// solution — new source edges, new predecessor edges, collapses — so
 	// redundant re-additions leave the cache hot. lsVersion is the graph
-	// version the last pass ran at, and lsPending seeds the next pass's
-	// dirty cone.
+	// version the last pass ran at; lsPending and the variables created
+	// from creation index lsCreated on seed the next pass's dirty cone.
+	// lsConsumers is the consumer index (creation index of x → variables
+	// y with x ∈ PredV(y)), nil until the first incremental pass.
 	graphVersion uint64
 	lsVersion    uint64
 	lsEngine     *lsEngine
 	lsPending    []*Var
+	lsCreated    int
+	lsConsumers  [][]*Var
 
 	// Retraction bookkeeping (see retract.go); nil unless
 	// Options.Retractable, so every hook site pays one branch.
@@ -432,12 +436,12 @@ func (s *System) addSource(t *Term, x *Var) {
 		s.stats.Redundant++
 		s.metricEdge(true)
 		if s.retract != nil {
-			s.retractSrc(t, x, false)
+			s.retractEdge(x, nil, false)
 		}
 		return
 	}
 	if s.retract != nil {
-		s.retractSrc(t, x, true)
+		s.retractEdge(x, nil, true)
 	}
 	s.markLS(x)
 	s.metricEdge(false)
@@ -467,12 +471,12 @@ func (s *System) addSink(x *Var, t *Term) {
 		s.stats.Redundant++
 		s.metricEdge(true)
 		if s.retract != nil {
-			s.retractSink(x, t, false)
+			s.retractEdge(x, nil, false)
 		}
 		return
 	}
 	if s.retract != nil {
-		s.retractSink(x, t, true)
+		s.retractEdge(x, nil, true)
 	}
 	s.metricEdge(false)
 	if s.opt.Observer != nil {
@@ -502,7 +506,12 @@ func (s *System) addSink(x *Var, t *Term) {
 // inserting the edge.
 func (s *System) addVarEdge(x, y *Var) {
 	if x == y {
-		return // self-inclusion is trivial
+		// Trivial only while the collapse that merged both sides stands:
+		// the footprint must record it so retracting that collapse replays.
+		if s.retract != nil {
+			s.retractEdge(x, nil, false)
+		}
+		return
 	}
 	s.store.Clean(x)
 	s.store.Clean(y)
@@ -512,12 +521,12 @@ func (s *System) addVarEdge(x, y *Var) {
 		s.stats.Redundant++
 		s.metricEdge(true)
 		if s.retract != nil {
-			s.retractVarEdge(x, y, false)
+			s.retractEdge(x, y, false)
 		}
 		return
 	}
 	if s.retract != nil {
-		s.retractVarEdge(x, y, true)
+		s.retractEdge(x, y, true)
 	}
 	s.metricEdge(false)
 	if !s.skipClosure && s.cycDetect {
@@ -545,6 +554,9 @@ func (s *System) addVarEdge(x, y *Var) {
 		}
 	} else {
 		y.PredV.Add(x)
+		if s.lsConsumers != nil {
+			s.addConsumer(x, y)
+		}
 		s.markLS(y)
 		if s.skipClosure {
 			return

@@ -27,9 +27,9 @@ type SolverMetrics struct {
 	// closure and least-solution phases, clients add parse and
 	// constraint-gen.
 	Phases *Timers
-	// LSLevels is the topological level count of the predecessor DAG in
-	// the most recent least-solution pass; LSCone is the distribution of
-	// dirty-cone sizes (variables recomputed per pass).
+	// LSLevels is the topological level count of the predecessor DAG
+	// within the most recent least-solution pass's cone; LSCone is the
+	// distribution of dirty-cone sizes (variables recomputed per pass).
 	LSLevels *Gauge
 	LSCone   *Histogram
 	// LSUnionHits and LSUnionMisses count the engine's memoized-union

@@ -156,11 +156,12 @@ func (s *Solver) AddBatchContext(ctx context.Context, batch []Constraint) (appli
 
 // RetractBatch removes the named batches' constraints as if they had never
 // been added, preserving every fact the surviving constraints still
-// justify (reason multisets: a derivation justified two ways survives
-// losing one). Unknown ids fail with ErrUnknownBatch and retract nothing;
-// a solver built without Options.Retractable fails with ErrNotRetractable.
-// The report describes the rolled-back dirty cone and the replayed
-// survivors; see RetractReport.
+// justify (the entangled surviving batches are replayed, so a derivation
+// justified two ways survives losing one). Unknown ids fail with
+// ErrUnknownBatch and retract nothing; a solver built without
+// Options.Retractable fails with ErrNotRetractable. The report describes
+// the rolled-back dirty cone and the replayed survivors; see
+// RetractReport.
 func (s *Solver) RetractBatch(ids ...BatchID) (RetractReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
