@@ -114,8 +114,8 @@ func RunServeLoad(w io.Writer, opt ServeLoadOptions) error {
 	}
 	if opt.Addr == "" {
 		// The self-hosted server reads with 2ms bounded staleness: under a
-		// saturating writer every graph-version bump would otherwise force
-		// an O(vars) snapshot capture per read.
+		// saturating writer every graph-version bump would otherwise make
+		// each read queue for the solver lock to capture a snapshot.
 		solverOpt := polce.Options{Form: polce.IF, Cycles: polce.CycleOnline, Seed: opt.Seed}
 		cfg := serve.Config{
 			QueueDepth:       256,

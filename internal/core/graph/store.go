@@ -11,8 +11,8 @@ import "slices"
 
 // Store owns the variables of one constraint system: the live list walked
 // by whole-graph operations, the creation-index space shared with the
-// oracle, and the merge epoch that drives lazy adjacency canonicalisation
-// after collapses.
+// oracle, the merge epoch that drives lazy adjacency canonicalisation
+// after collapses, and the snapshot-capture journal (see Journal).
 //
 // A Store is not safe for concurrent use; the solver façade serialises
 // access.
@@ -24,6 +24,8 @@ type Store struct {
 	created []*Var   // creation-index → variable handed out (aliases included)
 
 	mergeEpoch uint64 // bumped on every collapse; drives lazy compaction
+
+	journal *Journal // snapshot-capture journal; nil until EnableJournal
 
 	// Flat-memory backend (see csr.go). Both arenas are nil under
 	// ReprHybrid; under ReprCSR every adjacency set of every variable is
@@ -68,6 +70,9 @@ func (st *Store) CreatedVar(i int) *Var { return st.created[i] }
 func (st *Store) Forward(a, w *Var) {
 	a.parent = w
 	st.dead++
+	if st.journal != nil {
+		st.journal.Note(a)
+	}
 }
 
 // BumpMergeEpoch starts a new merge epoch. Clean canonicalises each
@@ -97,6 +102,9 @@ func (st *Store) ResetVar(v *Var) {
 	v.Mark = 0
 	v.cleanEpoch = 0
 	v.Sol = SolSlot{}
+	if st.journal != nil {
+		st.journal.Note(v)
+	}
 }
 
 // NumLive returns the number of canonical (non-eliminated) variables in

@@ -59,9 +59,7 @@ func (s *System) LSCacheState() LSCacheState {
 	}
 	if e := s.lsEngine; e != nil {
 		e.mu.Lock()
-		for _, bucket := range e.interned {
-			st.InternedNodes += len(bucket)
-		}
+		st.InternedNodes = e.nodes
 		st.MemoEntries = len(e.memo)
 		e.mu.Unlock()
 	}

@@ -95,6 +95,7 @@ type lsPair struct{ a, b *lsNode }
 type lsEngine struct {
 	mu       sync.Mutex           // guards interned and memo during parallel levels
 	interned map[uint64][]*lsNode // content hash → nodes (bucketed, equality-checked)
+	nodes    int                  // nodes in interned, kept so LSCacheState needs no walk
 	memo     map[lsPair]*lsNode
 
 	empty *lsNode
@@ -167,6 +168,7 @@ func (e *lsEngine) intern(terms []*Term, copyOnCreate bool) *lsNode {
 	}
 	n := &lsNode{hash: h, terms: terms}
 	e.interned[h] = append(e.interned[h], n)
+	e.nodes++
 	e.mu.Unlock()
 	e.work.Add(int64(len(terms)))
 	return n
@@ -330,8 +332,12 @@ func (s *System) runLeastSolutionPass() {
 		wg.Wait()
 	}
 
+	j := s.store.Journal()
 	for _, v := range cone {
 		v.Sol.Idx = 0
+		if j != nil {
+			j.Note(v) // its Sol.Node was rewritten
+		}
 	}
 	for _, v := range s.lsPending {
 		v.Sol.Pending = false

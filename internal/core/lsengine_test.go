@@ -67,6 +67,15 @@ func TestLSEngineMatchesReference(t *testing.T) {
 
 				s.CollapseCycles()
 				checkLSAgainstReference(t, s, ctx("final-collapse"))
+
+				// The maintained node count matches the intern table.
+				nodes := 0
+				for _, bucket := range s.lsEngine.interned {
+					nodes += len(bucket)
+				}
+				if got := s.LSCacheState().InternedNodes; got != nodes {
+					t.Fatalf("%s: LSCacheState reports %d interned nodes, table holds %d", ctx("final"), got, nodes)
+				}
 			}
 		}
 	}

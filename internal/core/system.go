@@ -444,6 +444,9 @@ func (s *System) addSource(t *Term, x *Var) {
 		s.retractEdge(x, nil, true)
 	}
 	s.markLS(x)
+	if j := s.store.Journal(); j != nil && s.opt.Form == SF {
+		j.Note(x) // standard form: x's source list is its least solution
+	}
 	s.metricEdge(false)
 	if s.opt.Observer != nil {
 		s.emit(Event{Kind: EventSourceEdge, From: t, To: x})
@@ -631,6 +634,24 @@ func (s *System) Find(v *Var) *Var { return find(v) }
 // CanonicalVars returns the canonical (non-eliminated) variables in
 // creation order.
 func (s *System) CanonicalVars() []*Var { return s.store.CanonicalVars() }
+
+// DrainCaptureJournal returns the creation indices whose snapshot entry —
+// least solution or canonical handle — may have changed since the
+// previous call: the variables the least-solution pass rewrote, under
+// standard form those that gained a source, and those a collapse merged
+// away or a retraction reset. Indices created since the previous call are
+// not listed; the caller tracks the creation count itself. The first call
+// switches the journal on and reports all: nothing was recorded before
+// it, so every entry must be captured. The slice is reused by the
+// journal; consume it before the next mutation.
+func (s *System) DrainCaptureJournal() (dirty []int, all bool) {
+	j := s.store.Journal()
+	if j == nil {
+		s.store.EnableJournal()
+		return nil, true
+	}
+	return j.Drain(), false
+}
 
 // EdgeCounts tallies the distinct edges in the current graph: variable →
 // variable edges (counted once regardless of orientation), source edges

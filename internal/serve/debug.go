@@ -4,13 +4,17 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+
+	"polce"
 )
 
 // This file is the live introspection surface: two read-only endpoints
-// answered entirely from copy-on-write snapshots, so they are safe to hit
-// on a production server under full ingestion load — a debug query never
-// takes the solver lock beyond the shared snapshot capture, and never
-// blocks the ingester.
+// answered from copy-on-write snapshots, so they are safe to hit on a
+// production server under full ingestion load. /v1/debug/top never takes
+// the solver lock beyond the shared snapshot capture; /v1/debug/stats
+// takes it once more, for the graph walk behind its size and density
+// figures (Solver.CurrentGraphStats), which no snapshot carries — so it
+// waits behind, and briefly blocks, the ingester.
 //
 //	GET /v1/debug/stats   graph size/density, collapsed-SCC histogram,
 //	                      least-solution cache state, queue + cache health
@@ -37,7 +41,7 @@ func (s *Server) handleDebugStats(w http.ResponseWriter, r *http.Request) error 
 		}
 		hist[classBucket(sz)]++
 	}
-	g := snap.Graph()
+	g, gv := s.graphStats()
 	walBlock := map[string]any{"enabled": s.wal != nil}
 	if s.wal != nil {
 		walBlock["sync"] = s.wal.Policy().String()
@@ -55,6 +59,7 @@ func (s *Server) handleDebugStats(w http.ResponseWriter, r *http.Request) error 
 		"vars":    snap.NumVars(),
 		"errors":  snap.ErrorCount(),
 		"graph": map[string]any{
+			"version":       gv,
 			"live_vars":     g.Vars,
 			"var_var_edges": g.VarVarEdges,
 			"source_edges":  g.SourceEdges,
@@ -79,6 +84,22 @@ func (s *Server) handleDebugStats(w http.ResponseWriter, r *http.Request) error 
 		"stats": snap.Stats(),
 	})
 	return nil
+}
+
+// graphStats measures the live graph and returns the version it was
+// measured at. The walk takes the solver lock once; version reads on
+// either side of it tell whether a write landed in between, and a walk
+// that raced one is retried (a few times at most, so a saturated writer
+// cannot starve the endpoint — the figures are then from some version
+// between the two reads, and the later is reported).
+func (s *Server) graphStats() (polce.GraphStats, uint64) {
+	for i := 0; ; i++ {
+		v0 := s.solver.Version()
+		g := s.solver.CurrentGraphStats()
+		if v1 := s.solver.Version(); v1 == v0 || i == 2 {
+			return g, v1
+		}
+	}
 }
 
 // classBucket buckets a collapsed-class size into power-of-two ranges:

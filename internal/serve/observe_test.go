@@ -279,6 +279,10 @@ func TestDebugStats(t *testing.T) {
 	if graph["live_vars"].(float64) <= 0 {
 		t.Errorf("graph = %v, want live vars", graph)
 	}
+	// The graph is measured live, at the version the quiet server is at.
+	if graph["version"] != body["version"] {
+		t.Errorf("graph measured at version %v, snapshot at %v", graph["version"], body["version"])
+	}
 	ls := body["ls_cache"].(map[string]any)
 	if ls["hot"] != true {
 		t.Errorf("ls_cache = %v, want hot after snapshot", ls)

@@ -76,8 +76,8 @@ type Config struct {
 	// snapshot for up to this long even if ingestion has moved the graph
 	// version on — bounded staleness. Under heavy write churn this keeps
 	// reads lock-free (an atomic load) instead of serialising every reader
-	// behind an O(vars) capture per version bump. Zero means reads are
-	// always served from the current version.
+	// behind the solver lock and a capture per version bump. Zero means
+	// reads are always served from the current version.
 	SnapshotMaxStale time.Duration
 	// Logger, when non-nil, receives one structured log line per request:
 	// debug level normally, warn past the SlowQuery threshold, error for
@@ -183,9 +183,10 @@ type snapEntry struct {
 // captures of an unchanged graph free. With a staleness bound the scheme is
 // stale-while-revalidate: within the window a read is one atomic load; past
 // it, the first reader through refreshes while every other reader keeps
-// the previous snapshot, so no query ever waits out an O(vars) capture
-// behind a hot writer. Effective staleness is therefore the window plus one
-// capture time.
+// the previous snapshot, so no query waits behind a capture or a hot
+// writer's lock. A capture costs the change since the previous one (see
+// polce.Snapshot), so the window mainly bounds lock traffic. Effective
+// staleness is the window plus one capture time.
 func (s *Server) snapshot(ctx context.Context) (*polce.Snapshot, error) {
 	max := s.cfg.SnapshotMaxStale
 	if e := s.snapCur.Load(); max > 0 && e != nil {
